@@ -86,7 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="generate a telescope capture pcap")
     _scenario_args(simulate)
     simulate.add_argument("--out", required=True, help="output pcap path")
-    _gen_args(simulate)
+    _gen_lane_arg(simulate)
+    simulate.add_argument(
+        "--gen-workers",
+        type=int,
+        default=1,
+        help="worker processes for scenario generation (sharded by "
+        "traffic source; the merged stream is bit-identical to "
+        "--gen-workers 1; requires --gen-lane)",
+    )
 
     analyze = sub.add_parser("analyze", help="analyze a pcap capture")
     analyze.add_argument("pcap", help="input pcap path")
@@ -105,7 +113,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "(count is printed and exported as "
         "repro_pcap_corrupt_records_total)",
     )
-    _workers_arg(analyze)
+    _workers_arg(
+        analyze,
+        "worker processes for the per-packet phase (sharded by "
+        "source IP; results are identical to --workers 1)",
+    )
     _lane_arg(analyze)
     _metrics_arg(analyze)
     _faults_args(analyze)
@@ -114,9 +126,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _scenario_args(report)
     report.add_argument("--report-out", help="also write the report to a file")
     report.add_argument("--export", help="write per-figure CSV/JSON data here")
-    _workers_arg(report)
+    _workers_arg(
+        report,
+        "worker processes for the per-packet phase (each generates and "
+        "analyzes its own share of the traffic sources; --faults, "
+        "--no-gen-lane and --no-fast-lane shard packets by source IP "
+        "instead; results are identical to --workers 1)",
+    )
     _lane_arg(report)
-    _gen_args(report)
+    _gen_lane_arg(report)
     _metrics_arg(report)
     _faults_args(report)
 
@@ -321,14 +339,8 @@ def _scenario_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _workers_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the per-packet phase (sharded by "
-        "source IP; results are identical to --workers 1)",
-    )
+def _workers_arg(parser: argparse.ArgumentParser, help_text: str) -> None:
+    parser.add_argument("--workers", type=int, default=1, help=help_text)
 
 
 def _lane_arg(parser: argparse.ArgumentParser) -> None:
@@ -342,7 +354,7 @@ def _lane_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _gen_args(parser: argparse.ArgumentParser) -> None:
+def _gen_lane_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--gen-lane",
         action=argparse.BooleanOptionalAction,
@@ -351,14 +363,6 @@ def _gen_args(parser: argparse.ArgumentParser) -> None:
         "bytes stamped from mutable templates; output is byte-identical "
         "either way; --no-gen-lane forces the rich per-packet object "
         "path)",
-    )
-    parser.add_argument(
-        "--gen-workers",
-        type=int,
-        default=1,
-        help="worker processes for scenario generation (sharded by "
-        "traffic source; the merged stream is bit-identical to "
-        "--gen-workers 1; requires --gen-lane)",
     )
 
 
@@ -524,19 +528,12 @@ def cmd_report(args, stream) -> int:
         return 2
     scenario = _scenario(args)
     pipeline = _pipeline(scenario, workers=args.workers, fast_lane=args.fast_lane)
-    if (
-        args.gen_lane
-        and args.fast_lane
-        and args.workers == 1
-        and injector is None
-    ):
-        # fused fast path: gen records feed the batch lane directly —
-        # no CapturedPacket objects, no wire bytes, no dissection
-        result = pipeline.process_record_batches(
-            scenario.lane_batches(
-                pipeline.config.batch_size, workers=args.gen_workers
-            )
-        )
+    if args.gen_lane and injector is None:
+        # the pipeline generates: on the fast lane gen records feed the
+        # batch lane directly — no CapturedPacket objects, no wire
+        # bytes, no dissection; with --workers N each worker generates
+        # and analyzes its own units
+        result = pipeline.process(scenario)
     else:
         packets = scenario.packets()
         if injector is not None:

@@ -1,19 +1,34 @@
-"""Source-sharded parallel execution of the per-packet phase.
+"""Parallel execution of the per-packet phase.
 
-The streaming phase of :class:`~repro.core.pipeline.QuicsandPipeline`
-(classify → dissect → sessionize → hourly counters → timeout-sweep
-observation) keeps all of its state either per source IP or as a plain
-sum.  Hash-partitioning the packet stream by source therefore loses
-nothing: every sessionizer decision, sweep gap and research-candidate
-count depends only on one source's time-ordered substream, which a
-shard sees in full and in order.  Merging the shard partials
-(:meth:`~repro.core.pipeline.PartialState.merge`) then reproduces the
-serial state exactly, and the once-per-capture finalization runs on the
-merged result — a serial and a parallel run yield identical
+Two ways to split the work across worker processes, one merged
+:class:`~repro.core.pipeline.PartialState` out of either; a serial and
+a parallel run yield identical
 :class:`~repro.core.pipeline.PipelineResult`\\ s for the same input.
 
-Mechanically, the parent reads the stream, routes each packet to its
-shard buffer (:func:`shard_of`), and ships filled buffers to worker
+**Unit shards** (a :class:`~repro.telescope.workload.Scenario` on the
+fast lane — ``report --workers N``).  Nothing per-packet crosses a
+process boundary: each worker takes a cost-balanced subset of the
+scenario's generation units
+(:func:`repro.telescope.parallel.assign_units`), merges them by
+timestamp (:func:`repro.telescope.telescope.merge_units`), applies the
+telescope filter and feeds the batch lane itself, then ships one closed
+:meth:`PartialState.snapshot_bytes` back.  A source's packets may come
+from several units on several workers (one victim's backscatter over
+several floods, a misconfigured server that is also a flood victim), so
+each worker records sweep timestamps (:class:`RecordingSweep`) and the
+parent merges with :func:`repro.federate.merge.merge_federated_states`
+— exact for any partition of a source's time-ordered packets.
+
+**Source shards** (a packet stream — ``analyze --workers N``, fault
+injection, the rich lanes).  The streaming phase (classify → dissect →
+sessionize → hourly counters → timeout-sweep observation) keeps all of
+its state either per source IP or as a plain sum, so hash-partitioning
+the stream by source loses nothing: every sessionizer decision, sweep
+gap and research-candidate count depends only on one source's
+time-ordered substream, which a shard sees in full and in order, and
+:meth:`~repro.core.pipeline.PartialState.merge` reproduces the serial
+state.  The parent reads the stream, routes each packet to its shard
+buffer (:func:`shard_of`), and ships filled buffers to worker
 processes.  Two transports exist:
 
 * **shared-memory rings** (default, fast lane): each worker owns a
@@ -33,11 +48,16 @@ processes.  Two transports exist:
 
 Time order holds within each source's substream because a source maps
 to exactly one shard and slots/buffers preserve arrival order.
+
+Every worker that fails — raises, or dies without a result — makes the
+run raise :class:`RuntimeError` naming its shard index; no partial
+result is ever returned.
 """
 
 from __future__ import annotations
 
 import collections
+import gc
 import multiprocessing
 import queue as queue_module
 import struct
@@ -58,6 +78,7 @@ from repro.net.udp import UdpHeader
 from repro.core.batchlane import BatchLane
 from repro.core.classify import TrafficClassifier
 from repro.core.pipeline import AnalysisConfig, PartialState
+from repro.core.sessions import RecordingSweep
 
 # Worker processes publish into their own (reset-after-fork) registry
 # and ship one snapshot back with their partial state; the parent
@@ -274,8 +295,8 @@ def _shard_worker(index, config, in_queue, out_queue, metrics_enabled=False) -> 
     the parent's merge is exactly-once by construction.
     """
     try:
-        obs.REGISTRY.reset()
         obs.set_enabled(metrics_enabled)
+        obs.REGISTRY.reset()
         classifier = TrafficClassifier(dissect_payloads=config.dissect_payloads)
         state = PartialState.initial(config)
         decode = decode_packet
@@ -291,7 +312,7 @@ def _shard_worker(index, config, in_queue, out_queue, metrics_enabled=False) -> 
         if obs.enabled():
             _M_SHARD_PACKETS.inc(state.total_packets, worker=str(index))
             _M_SHARD_BATCHES.inc(batches, worker=str(index))
-            snapshot = obs.REGISTRY.snapshot(run_collectors=False)
+            snapshot = obs.REGISTRY.snapshot()
         else:
             snapshot = None
         out_queue.put((index, state, snapshot, None))
@@ -318,8 +339,8 @@ def _shm_shard_worker(
     """
     segment = None
     try:
-        obs.REGISTRY.reset()
         obs.set_enabled(metrics_enabled)
+        obs.REGISTRY.reset()
         segment = _attach_segment(shm_name)
         buf = segment.buf
         lane = BatchLane(dissect_payloads=config.dissect_payloads)
@@ -356,7 +377,7 @@ def _shm_shard_worker(
         if obs.enabled():
             _M_SHARD_PACKETS.inc(state.total_packets, worker=str(index))
             _M_SHARD_BATCHES.inc(batches, worker=str(index))
-            snapshot = obs.REGISTRY.snapshot(run_collectors=False)
+            snapshot = obs.REGISTRY.snapshot()
         else:
             snapshot = None
         out_queue.put((index, state, snapshot, None))
@@ -390,21 +411,30 @@ def _put_with_liveness(q, item, process) -> None:
 
 def _collect_results(processes, out_queue, workers):
     """Drain one ``(index, state, snapshot, error)`` result per worker,
-    noticing workers that die without reporting."""
+    noticing workers that die without reporting.
+
+    A worker killed by a signal or a non-zero exit is reported at the
+    next poll; one that exited cleanly gets one more poll for its
+    result to drain from the queue's pipe before it counts as lost.
+    """
     states: list = [None] * workers
     snapshots: list = [None] * workers
     pending = set(range(workers))
+    silent: set = set()
     while pending:
         try:
             index, state, snapshot, error = out_queue.get(timeout=1.0)
         except queue_module.Empty:
-            for index in list(pending):
+            for index in sorted(pending):
                 process = processes[index]
-                if not process.is_alive() and process.exitcode != 0:
+                if process.is_alive():
+                    continue
+                if process.exitcode != 0 or index in silent:
                     raise RuntimeError(
                         f"shard worker {index} died "
                         f"(exit {process.exitcode}) without a result"
                     )
+                silent.add(index)
             continue
         if error is not None:
             raise RuntimeError(f"shard worker {index} failed:\n{error}")
@@ -414,37 +444,160 @@ def _collect_results(processes, out_queue, workers):
     return states, snapshots
 
 
-def _merge_results(states, snapshots, workers) -> PartialState:
+def _stop_workers(processes, grace: float) -> None:
+    """Join every worker, terminating those still alive after ``grace``
+    seconds (zero after a failure: the run is already lost)."""
+    for process in processes:
+        process.join(timeout=grace)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=5.0)
+
+
+def _merge_disjoint(states: list) -> PartialState:
+    merged = states[0]
+    for state in states[1:]:
+        merged.merge(state)
+    return merged
+
+
+def _merge_results(states, snapshots, workers, merge=_merge_disjoint) -> PartialState:
     # merge in shard-index order: deterministic regardless of which
     # worker finished first
     _M_WORKERS.set(workers)
     with obs.span(_M_MERGE):
-        merged = states[0]
-        for state in states[1:]:
-            merged.merge(state)
+        merged = merge(states)
     for snapshot in snapshots:
         if snapshot is not None:
             obs.REGISTRY.merge_snapshot(snapshot)
     return merged
 
 
+# -- unit shards -------------------------------------------------------------
+
+
+def unit_shard_state(scenario, unit_indices, config: AnalysisConfig) -> PartialState:
+    """The closed per-packet state of one shard of generation units:
+    the serial fused path over ``scenario.lane_batches(units=...)``.
+
+    The state carries a :class:`RecordingSweep` so shards that share a
+    source merge exactly
+    (:func:`repro.federate.merge.merge_federated_states`).
+    """
+    batches = scenario.lane_batches(config.batch_size, units=unit_indices)
+    return PartialState.from_lane_batches(config, batches, sweep=RecordingSweep())
+
+
+def _unit_shard_worker(
+    index, scenario, unit_indices, config, out_queue, metrics_enabled=False
+) -> None:
+    """Analyze one unit shard and ship ``(state bytes, telescope
+    packets seen, dropped)`` plus a metrics snapshot to the parent.
+
+    Like the source-shard workers, it first resets the registry it
+    inherited, so the parent's snapshot merge is exactly-once.
+    """
+    try:
+        obs.set_enabled(metrics_enabled)
+        obs.REGISTRY.reset()
+        telescope = scenario.telescope
+        seen, dropped = telescope.packets_seen, telescope.packets_dropped
+        state = unit_shard_state(scenario, unit_indices, config)
+        if obs.enabled():
+            _M_SHARD_PACKETS.inc(state.total_packets, worker=str(index))
+            snapshot = obs.REGISTRY.snapshot()
+        else:
+            snapshot = None
+        result = (
+            state.snapshot_bytes(),
+            telescope.packets_seen - seen,
+            telescope.packets_dropped - dropped,
+        )
+        out_queue.put((index, result, snapshot, None))
+    except Exception:
+        # interrupts and exits propagate: the parent then reports the
+        # worker's non-zero exit instead
+        out_queue.put((index, None, None, traceback.format_exc()))
+
+
+def _run_unit_shards(
+    scenario, config: AnalysisConfig, workers: int, start_method: Optional[str]
+) -> PartialState:
+    """Unit-shard runner: the parent only assigns, collects and merges.
+
+    Workers receive the parent's scenario itself (inherited, not
+    rebuilt, under ``fork``), so a sharded run sees exactly the
+    generator state a serial run on the same instance would.
+    """
+    from repro.federate.merge import merge_federated_states
+    from repro.telescope.parallel import assign_units
+
+    assignment = assign_units(scenario.unit_costs(), workers)
+    ctx = multiprocessing.get_context(start_method or _default_start_method())
+    out_queue = ctx.Queue()
+    processes = [
+        ctx.Process(
+            target=_unit_shard_worker,
+            args=(index, scenario, assignment[index], config, out_queue, obs.enabled()),
+            name=f"quicsand-shard-{index}",
+            daemon=True,
+        )
+        for index in range(workers)
+    ]
+    # freeze the parent's heap across the forks: the workers' garbage
+    # collections then skip every inherited object instead of walking
+    # (and copying the pages of) all of them
+    gc.freeze()
+    try:
+        for process in processes:
+            process.start()
+    finally:
+        gc.unfreeze()
+    collected = False
+    try:
+        results, snapshots = _collect_results(processes, out_queue, workers)
+        collected = True
+        # merge while the workers exit
+        states = []
+        for payload, seen, dropped in results:
+            states.append(PartialState.from_snapshot_bytes(payload))
+            scenario.telescope.packets_seen += seen
+            scenario.telescope.packets_dropped += dropped
+        merged = _merge_results(
+            states,
+            snapshots,
+            workers,
+            merge=lambda states: merge_federated_states(states, config),
+        )
+    finally:
+        _stop_workers(processes, grace=5.0 if collected else 0.0)
+    return merged
+
+
 def run_sharded(
-    stream: Iterable,
+    stream,
     config: AnalysisConfig,
     workers: int,
     batch_size: Optional[int] = None,
     start_method: Optional[str] = None,
 ) -> PartialState:
-    """Run the per-packet phase sharded by source across ``workers``
-    processes and return the merged :class:`PartialState`.
+    """Run the per-packet phase across ``workers`` processes and return
+    the merged :class:`PartialState`.
 
-    With ``config.fast_lane`` (the default) packets travel over the
+    A :class:`~repro.telescope.workload.Scenario` runs as unit shards:
+    every worker generates and analyzes its own generation units on the
+    fused fast lane (pass its ``packets()`` for the rich lane, as
+    :meth:`QuicsandPipeline.process` does).  A packet ``stream`` is
+    hash-routed by source: with ``config.fast_lane`` packets travel over the
     shared-memory ring transport and workers run the batch fast lane;
     the rich path — and any host without usable shared memory — uses
-    the original compact-tuple queues.  Both produce identical merged
-    states (tests/test_lane_equivalence.py).
+    the original compact-tuple queues.  All of them produce identical
+    merged states (tests/test_lane_equivalence.py,
+    tests/test_scenario_matrix.py).
     """
     workers = max(1, int(workers))
+    if hasattr(stream, "record_units"):  # a Scenario
+        return _run_unit_shards(stream, config, workers, start_method)
     if getattr(config, "fast_lane", True) and _shared_memory is not None:
         rings = None
         try:
@@ -481,6 +634,7 @@ def _run_sharded_queues(
     ]
     for process in processes:
         process.start()
+    collected = False
     try:
         buffers: list = [[] for _ in range(workers)]
         encode = encode_packet
@@ -496,11 +650,9 @@ def _run_sharded_queues(
                 _put_with_liveness(in_queues[shard], buffer, processes[shard])
             _put_with_liveness(in_queues[shard], None, processes[shard])
         states, snapshots = _collect_results(processes, out_queue, workers)
+        collected = True
     finally:
-        for process in processes:
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.terminate()
+        _stop_workers(processes, grace=5.0 if collected else 0.0)
     return _merge_results(states, snapshots, workers)
 
 
@@ -538,6 +690,7 @@ def _run_sharded_shm(
     ]
     for process in processes:
         process.start()
+    collected = False
     try:
         buffers = [bytearray() for _ in range(workers)]
         counts = [0] * workers
@@ -604,11 +757,9 @@ def _run_sharded_shm(
                 flush(shard)
             _put_with_liveness(in_queues[shard], None, processes[shard])
         states, snapshots = _collect_results(processes, out_queue, workers)
+        collected = True
     finally:
-        for process in processes:
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.terminate()
+        _stop_workers(processes, grace=5.0 if collected else 0.0)
         for ring in rings:
             ring.close_and_unlink()
     return _merge_results(states, snapshots, workers)

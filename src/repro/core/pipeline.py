@@ -292,6 +292,27 @@ class PartialState:
             },
         )
 
+    @classmethod
+    def from_lane_batches(
+        cls, config: AnalysisConfig, batches: Iterable[list], sweep=None
+    ) -> "PartialState":
+        """The closed state of lane-record ``batches`` fed through the
+        batch lane — the fused path's whole per-packet phase.
+
+        ``sweep`` replaces the default :class:`TimeoutSweep` (a unit
+        shard passes a :class:`~repro.core.sessions.RecordingSweep` so
+        states that share sources merge exactly).
+        """
+        state = cls.initial(config)
+        if sweep is not None:
+            state.sweep = sweep
+        lane = BatchLane(dissect_payloads=config.dissect_payloads)
+        for batch in batches:
+            state.consume_lane_records(batch, lane)
+        state.record_classifier(lane)
+        state.close()
+        return state
+
     def consume(self, packets: list, classifier: TrafficClassifier) -> None:
         """Feed one time-ordered batch through classify → dissect →
         sessionize → hourly counters → sweep observation."""
@@ -842,14 +863,23 @@ class QuicsandPipeline:
         self.greynoise = greynoise
         self.config = config or AnalysisConfig()
 
-    def process(self, stream: Iterable) -> PipelineResult:
+    def process(self, stream) -> PipelineResult:
         """Consume a time-ordered packet stream and analyze it.
 
-        With ``config.workers > 1`` the per-packet phase runs sharded
-        across worker processes (see :mod:`repro.core.parallel`);
+        ``stream`` may also be a
+        :class:`~repro.telescope.workload.Scenario`, generated here:
+        through the fused record path (:meth:`process_record_batches`)
+        on the fast lane, or as its ``packets()`` on the rich lane.
+        With ``config.workers > 1`` the per-packet phase runs across
+        worker processes (see :mod:`repro.core.parallel`) — a
+        fast-lane scenario as unit shards that each generate and
+        analyze their own units, anything else hash-routed by source;
         results are identical to a serial run by construction.
         """
         cfg = self.config
+        scenario = hasattr(stream, "record_units")
+        if scenario and not cfg.fast_lane:
+            stream, scenario = stream.packets(), False
         workers = max(1, int(cfg.workers or 1))
         if workers > 1:
             from repro.core.parallel import run_sharded
@@ -858,22 +888,24 @@ class QuicsandPipeline:
                 state = run_sharded(
                     stream, cfg, workers=workers, batch_size=cfg.batch_size
                 )
-        else:
-            with obs.span(_M_STAGE, stage="per-packet-serial"):
-                state = PartialState.initial(cfg)
-                if cfg.fast_lane:
-                    lane = BatchLane(dissect_payloads=cfg.dissect_payloads)
-                    for batch in batched(stream, cfg.batch_size):
-                        state.consume_lane(batch, lane)
-                    state.record_classifier(lane)
-                else:
-                    classifier = TrafficClassifier(
-                        dissect_payloads=cfg.dissect_payloads
-                    )
-                    for batch in batched(stream, cfg.batch_size):
-                        state.consume(batch, classifier)
-                    state.record_classifier(classifier)
-                state.close()
+            return self._finalize(state)
+        if scenario:
+            return self.process_record_batches(stream.lane_batches(cfg.batch_size))
+        with obs.span(_M_STAGE, stage="per-packet-serial"):
+            state = PartialState.initial(cfg)
+            if cfg.fast_lane:
+                lane = BatchLane(dissect_payloads=cfg.dissect_payloads)
+                for batch in batched(stream, cfg.batch_size):
+                    state.consume_lane(batch, lane)
+                state.record_classifier(lane)
+            else:
+                classifier = TrafficClassifier(
+                    dissect_payloads=cfg.dissect_payloads
+                )
+                for batch in batched(stream, cfg.batch_size):
+                    state.consume(batch, classifier)
+                state.record_classifier(classifier)
+            state.close()
         return self._finalize(state)
 
     def process_record_batches(self, batches: Iterable[list]) -> PipelineResult:
@@ -887,14 +919,8 @@ class QuicsandPipeline:
         :meth:`process` over the equivalent packet stream
         (``tests/test_genlane_equivalence.py``).
         """
-        cfg = self.config
         with obs.span(_M_STAGE, stage="per-packet-serial"):
-            state = PartialState.initial(cfg)
-            lane = BatchLane(dissect_payloads=cfg.dissect_payloads)
-            for batch in batches:
-                state.consume_lane_records(batch, lane)
-            state.record_classifier(lane)
-            state.close()
+            state = PartialState.from_lane_batches(self.config, batches)
         return self._finalize(state)
 
     def finalize_state(self, state: PartialState) -> PipelineResult:

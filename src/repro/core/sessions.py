@@ -361,25 +361,28 @@ def _absorb_session(target: Session, other: Session) -> None:
 
 
 def chain_merge_sessions(sessions: Iterable[Session], timeout: float) -> list:
-    """Re-join session fragments from destination-partitioned captures.
+    """Re-join session fragments from any partition of a source's packets.
 
-    Telescope *federation* partitions the stream by destination prefix,
-    so — unlike source-IP sharding — the same source appears in several
-    partitions and each vantage sees only a sub-sequence of its
-    packets.  Every fragment still has internal gaps <= ``timeout``,
-    which means no union-stream session boundary can fall strictly
-    inside a fragment's ``[first_ts, last_ts]`` span: a boundary is a
-    gap > ``timeout`` in the union, and any such gap is at least as
-    large in every sub-sequence that brackets it.  Sorting a source's
-    fragments by ``first_ts`` and joining whenever
+    Telescope *federation* partitions the stream by destination prefix
+    and unit-sharded scenario runs (``report --workers N``) by
+    generation unit, so — unlike source-IP sharding — the same source
+    appears in several partitions and each sees only a sub-sequence of
+    its time-ordered packets.  Every fragment still has internal gaps
+    <= ``timeout``, which means no union-stream session boundary can
+    fall strictly inside a fragment's ``[first_ts, last_ts]`` span: a
+    boundary is a gap > ``timeout`` in the union, and any such gap is
+    at least as large in every sub-sequence that brackets it.  Sorting
+    a source's fragments by ``first_ts`` and joining whenever
     ``next.first_ts - current.last_ts <= timeout`` therefore rebuilds
     exactly the sessions a serial run over the union stream produces;
     the per-session statistics are sums/unions, so the rebuilt
     :class:`Session` objects compare equal to the serial ones
-    (``tests/test_federation_equivalence.py`` pins this bit for bit).
+    (``tests/test_federation_equivalence.py`` and
+    ``tests/test_unit_shards.py`` pin this bit for bit).
 
-    Returns new sessions in canonical ``(first_ts, source)`` order;
-    the inputs are not mutated.
+    Returns the sessions in canonical ``(first_ts, source)`` order.
+    The inputs are not mutated: joined sessions are new objects, and a
+    fragment that joins nothing is returned as it is, not copied.
     """
     groups: dict = {}
     for session in sessions:
@@ -389,13 +392,18 @@ def chain_merge_sessions(sessions: Iterable[Session], timeout: float) -> list:
     merged: list = []
     for fragments in groups.values():
         fragments.sort(key=lambda s: (s.first_ts, s.last_ts))
-        current = _clone_session(fragments[0])
+        current = fragments[0]
+        joined = False
         for fragment in fragments[1:]:
             if fragment.first_ts - current.last_ts <= timeout:
+                if not joined:
+                    current = _clone_session(current)
+                    joined = True
                 _absorb_session(current, fragment)
             else:
                 merged.append(current)
-                current = _clone_session(fragment)
+                current = fragment
+                joined = False
         merged.append(current)
     merged.sort(key=lambda s: (s.first_ts, s.source))
     return merged
@@ -426,6 +434,21 @@ class TimeoutSweep:
                 self._gap_count += 1
             self._sorted = None
         self._last_seen[source] = timestamp
+
+    def _observe_sorted(self, source: int, timestamps: list) -> None:
+        """:meth:`observe` every timestamp of a source not seen before,
+        in one pass: the same ``later - earlier`` float subtractions,
+        without a call per timestamp."""
+        self._last_seen[source] = timestamps[-1]
+        if len(timestamps) > 1:
+            gaps = [
+                later - earlier
+                for earlier, later in zip(timestamps, timestamps[1:])
+            ]
+            self._gaps[source] = gaps
+            if source not in self._excluded:
+                self._gap_count += len(gaps)
+            self._sorted = None
 
     def exclude_sources(self, sources) -> None:
         """Drop sources (e.g. research scanners) from the sweep.
@@ -532,7 +555,7 @@ def merge_recorded_sweeps(sweeps: Iterable["RecordingSweep"]) -> TimeoutSweep:
     Per source, the union of the vantages' timestamp lists (a sorted
     multiset merge, duplicates kept) is exactly the timestamp sequence
     a serial sweep over the union stream observes, so replaying it
-    through :meth:`TimeoutSweep.observe` reproduces the serial gap
+    (:meth:`TimeoutSweep._observe_sorted`) reproduces the serial gap
     multiset bit for bit — the same float subtractions on the same
     values.  Returns a plain :class:`TimeoutSweep` ready for
     ``exclude_sources`` / ``sessions_at``.
@@ -548,7 +571,5 @@ def merge_recorded_sweeps(sweeps: Iterable["RecordingSweep"]) -> TimeoutSweep:
     merged = TimeoutSweep()
     for source, stamps in per_source.items():
         stamps.sort()
-        observe = merged.observe
-        for timestamp in stamps:
-            observe(source, timestamp)
+        merged._observe_sorted(source, stamps)
     return merged

@@ -1,9 +1,12 @@
-"""Distributed state merge for destination-partitioned telescopes.
+"""Distributed state merge for any partition of the packet stream.
 
-Federated vantages tile the telescope prefix by *destination*, so —
-unlike the source-sharded ``--workers`` path — the same source shows
-up at several vantages and the disjoint-source merges raise.  This
-module provides the overlap-aware alternative:
+Federated vantages tile the telescope prefix by *destination*, and
+unit-sharded scenario runs (``report --workers N``,
+:mod:`repro.core.parallel`) split it by *generation unit*; either way —
+unlike the source-hash sharding of a packet stream — the same source
+shows up in several partial states and the disjoint-source merges
+raise.  This module provides the overlap-aware alternative, exact for
+any partition of a source's time-ordered packets:
 
 - :func:`tile_prefixes` splits the telescope net into K tiles (K need
   not be a power of two — the largest tile is halved repeatedly, so
@@ -18,7 +21,7 @@ module provides the overlap-aware alternative:
   timestamps via :func:`~repro.core.sessions.merge_recorded_sweeps`.
 
 Bit-exactness against the serial pipeline is pinned by
-``tests/test_federation_equivalence.py``.
+``tests/test_federation_equivalence.py`` and ``tests/test_unit_shards.py``.
 """
 
 from __future__ import annotations
@@ -82,10 +85,11 @@ def _merge_sessionizers(
 def merge_federated_states(
     states: Iterable[PartialState], config: AnalysisConfig
 ) -> PartialState:
-    """The global state of K destination-partitioned vantage states.
+    """The global state of K partial states over a partitioned stream.
 
     Every input must carry a :class:`~repro.core.sessions.RecordingSweep`
-    (vantages install one; see :mod:`repro.federate.vantage`) and must
+    (vantages and unit shards install one; see
+    :mod:`repro.federate.vantage`, :mod:`repro.core.parallel`) and must
     already be closed — open sessions are treated as fragments, so an
     unflushed state still merges, but the bit-exactness pin assumes
     end-of-window flushes.  The inputs are not mutated.

@@ -27,10 +27,11 @@ paths honest about overhead:
   time only.
 - **Mergeable snapshots.** :meth:`Registry.snapshot` produces a
   picklable value and :meth:`Registry.merge_snapshot` folds it in:
-  counters and histograms add, gauges overwrite.  The source-sharded
-  parallel runner resets the child registry after fork and ships one
-  snapshot back, so per-worker metrics merge into the parent exactly
-  once (``tests/test_obs_parallel.py``).
+  counters and histograms add, gauges overwrite.  The parallel runners
+  reset the child registry after fork and ship one snapshot back, so
+  per-worker metrics — cache tallies pulled by collectors included —
+  merge into the parent exactly once (``tests/test_obs_parallel.py``,
+  ``tests/test_unit_shards.py``).
 
 Example (a standalone registry is enabled by default):
 
@@ -128,10 +129,11 @@ class Metric:
 class Counter(Metric):
     """Monotonically increasing total."""
 
-    __slots__ = ()
+    __slots__ = ("_published",)
 
     def __init__(self, name, help_text, label_names, registry):
         super().__init__(name, help_text, COUNTER, label_names, registry)
+        self._published: dict = {}
 
     def inc(self, amount: float = 1, **labels) -> None:
         """Add ``amount`` (default 1) to the labelled total. No-op when
@@ -144,11 +146,22 @@ class Counter(Metric):
         self._values[key] = self._values.get(key, 0) + amount
 
     def set_total(self, value: float, **labels) -> None:
-        """Overwrite the running total (collector callbacks publishing
-        an externally maintained count — e.g. a cache's own hit tally)."""
+        """Publish an externally maintained running total (collector
+        callbacks pulling e.g. a cache's own hit tally).
+
+        The counter grows by the total's growth since its previous
+        publication; a total that went backwards (a cleared cache)
+        counts as restarted from zero.  Growth rather than overwrite
+        keeps the samples merged in from worker snapshots, and lets a
+        :meth:`Registry.reset` leave an inherited tally uncounted.
+        """
         if not self.registry.enabled:
             return
-        self._values[_labelkey(self.label_names, labels)] = value
+        key = _labelkey(self.label_names, labels)
+        last = self._published.get(key, 0)
+        grown = value - last if value >= last else value
+        self._values[key] = self._values.get(key, 0) + grown
+        self._published[key] = value
 
     def value(self, **labels) -> float:
         """The current total for this label combination (0 if unseen)."""
@@ -318,18 +331,25 @@ class Registry:
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self) -> None:
-        """Zero every value, keeping the families registered (a forked
-        worker calls this so its snapshot carries only its own deltas)."""
+        """Zero every value, keeping the families registered.
+
+        Collectors run first, so the external totals they publish count
+        as already seen: afterwards the registry holds only work done
+        after the reset.  A forked worker calls this (enabled) so the
+        snapshot it ships carries only its own deltas — its inherited
+        cache tallies included.
+        """
+        self.collect()
         for family in self._families.values():
             family.reset()
 
     def snapshot(self, run_collectors: bool = True) -> dict:
         """Picklable value state, for cross-process merging.
 
-        Shard workers pass ``run_collectors=False``: collector-sourced
-        totals are pull-style views of process-local caches, and a
-        forked worker's caches start as copies of the parent's — adding
-        them back on merge would double-count the parent's own work.
+        Collectors run first unless ``run_collectors=False``.  After a
+        :meth:`reset` a collector publishes only the growth of its total,
+        so a forked worker's snapshot never carries the parent's cache
+        tallies it inherited.
         """
         if run_collectors:
             self.collect()

@@ -150,6 +150,17 @@ class _AdversarialModel:
     def records(self, start: float, end: float) -> Iterator[tuple]:
         raise NotImplementedError
 
+    def expected_events(self, start: float, end: float) -> float:
+        """Expected generation events in the window, from the spec alone.
+
+        An event is what the generator pays for: by default one
+        ``rate`` draw (a request or stateless answer); subclasses count
+        datagrams, response trains or sources instead.  Sizes unit
+        costs for shard balancing (:meth:`Scenario.unit_costs`).
+        """
+        t0, t1 = self._window(start, end)
+        return self.spec.rate * max(0.0, t1 - t0)
+
     def packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
         """The record stream boxed as captured packets (same draws).
 
@@ -180,6 +191,10 @@ class OptimisticAckFloodModel(_AdversarialModel):
         super().__init__(spec, internet, rng)
         pick = self.rng.child("victim")
         self.victim_ip = pick.choice(internet.census.all_records()).address
+
+    def expected_events(self, start: float, end: float) -> float:
+        # every trigger sends a burst of datagrams
+        return super().expected_events(start, end) * self.spec.burst
 
     def records(self, start: float, end: float) -> Iterator[tuple]:
         spec = self.spec
@@ -315,6 +330,11 @@ class H3SlowlorisModel(_AdversarialModel):
             internet, self.rng.child("sources"), spec.sources
         )
 
+    def expected_events(self, start: float, end: float) -> float:
+        # each source protects its own dripped request, whatever the rate
+        t0, t1 = self._window(start, end)
+        return float(len(self.sources)) if t1 > t0 else 0.0
+
     def records(self, start: float, end: float) -> Iterator[tuple]:
         t0, t1 = self._window(start, end)
         if t1 <= t0:
@@ -385,6 +405,16 @@ class PulseWaveFloodModel(_AdversarialModel):
         self.victim_ip = pick.choice(internet.census.all_records()).address
         self.policy = _census_policy(internet, self.victim_ip)
 
+    def expected_events(self, start: float, end: float) -> float:
+        # response trains, during the pulses only
+        spec = self.spec
+        t0 = start + spec.start_offset
+        active = 0.0
+        for pulse in range(spec.pulses):
+            p_start = t0 + pulse * (spec.pulse_duration + spec.pulse_gap)
+            active += max(0.0, min(p_start + spec.pulse_duration, end) - p_start)
+        return spec.rate * active
+
     def records(self, start: float, end: float) -> Iterator[tuple]:
         spec = self.spec
         t0 = start + spec.start_offset
@@ -436,6 +466,10 @@ class CarpetBombFloodModel(_AdversarialModel):
         self.policies = {
             ip: _census_policy(internet, ip) for ip in self.victim_ips
         }
+
+    def expected_events(self, start: float, end: float) -> float:
+        # ``rate`` is per victim: response trains from every host
+        return super().expected_events(start, end) * len(self.victim_ips)
 
     def records(self, start: float, end: float) -> Iterator[tuple]:
         t0, t1 = self._window(start, end)

@@ -26,6 +26,14 @@ worker streams by ``(timestamp, unit index)``, reproducing the serial
 sequence exactly.  The telescope filter runs parent-side, after the
 merge, just as in the serial path.
 
+Units are dealt to workers by :func:`assign_units` (longest processing
+time first, on :meth:`Scenario.unit_costs` estimates) and merged per
+worker by :func:`repro.telescope.telescope.merge_units`; the
+unit-sharded analysis runner of :mod:`repro.core.parallel` (``report
+--workers N``) uses the same two helpers (through
+:meth:`Scenario.lane_batches`), so both sharded paths split and order
+units identically.
+
 Transport
 ---------
 
@@ -59,6 +67,7 @@ except ImportError:  # pragma: no cover - always present on CPython >= 3.8
 from repro import obs
 from repro.core.parallel import RING_SLOTS, SLOT_SIZE, _attach_segment
 from repro.telescope.genlane import M_GEN_WORKERS, M_SHARD_RECORDS
+from repro.telescope.telescope import merge_units
 
 #: one generated record, little-endian, no padding: timestamp f64,
 #: src u32, dst u32, total_length u16, proto u8, kind u8, f1 u16,
@@ -71,9 +80,25 @@ _FLUSH_WATERMARK = SLOT_SIZE - (_GEN_RECORD.size + 0x10000)
 _BATCH = 512
 
 
-def _tagged(unit_iter, unit: int):
-    for record in unit_iter:
-        yield record, unit
+def assign_units(costs: list, workers: int) -> list:
+    """Deal generation units to ``workers`` shards, balanced by cost.
+
+    Longest-processing-time first: units in descending estimated cost
+    (:meth:`Scenario.unit_costs`; ties to the lower unit index) each go
+    to the least-loaded shard so far (ties to the lower shard index).
+    Deterministic, so every process computes the same assignment.
+    Returns one ascending unit-index list per shard; a shard may be
+    empty when there are fewer units than workers.
+    """
+    loads = [0.0] * workers
+    shards: list = [[] for _ in range(workers)]
+    for unit in sorted(range(len(costs)), key=lambda unit: (-costs[unit], unit)):
+        shard = min(range(workers), key=lambda index: (loads[index], index))
+        shards[shard].append(unit)
+        loads[shard] += costs[unit]
+    for shard in shards:
+        shard.sort()
+    return shards
 
 
 def _gen_worker(
@@ -91,15 +116,15 @@ def _gen_worker(
 
     The worker rebuilds the scenario from its config (deterministic:
     planning and model construction depend only on the seed), merges
-    its units by timestamp — stable, so ties fall to the lower unit
-    index — and ships packed records tagged with the global unit index
-    the parent's k-way merge keys on.  Ends with a ``("done",
+    its units by timestamp (:func:`merge_units`) and ships packed
+    records tagged with the global unit index the parent's k-way merge
+    keys on.  Ends with a ``("done",
     snapshot)`` descriptor, or ``("error", traceback)`` on failure.
     """
     segment = None
     try:
-        obs.REGISTRY.reset()
         obs.set_enabled(metrics_enabled)
+        obs.REGISTRY.reset()
         from repro.telescope.workload import Scenario
 
         segment = _attach_segment(shm_name)
@@ -127,9 +152,7 @@ def _gen_worker(
             buffer = bytearray()
             count = 0
 
-        streams = [_tagged(units[unit], unit) for unit in unit_indices]
-        merged = heapq.merge(*streams, key=lambda item: item[0][0])
-        for record, unit in merged:
+        for record, unit in merge_units(units, unit_indices, tagged=True):
             plen = record[9]
             kind = record[5]
             ship = plen and kind == 1
@@ -163,7 +186,7 @@ def _gen_worker(
             flush()
         if obs.enabled():
             M_SHARD_RECORDS.inc(shipped, worker=str(index))
-            snapshot = obs.REGISTRY.snapshot(run_collectors=False)
+            snapshot = obs.REGISTRY.snapshot()
         else:
             snapshot = None
         desc_queue.put(("done", snapshot))
@@ -256,36 +279,29 @@ def generate_records(scenario, workers: int) -> Iterator[tuple]:
     if not units:
         return
     workers = max(1, min(int(workers), len(units)))
-    if workers == 1 or _shared_memory is None:
-        merged = heapq.merge(
-            *(_tagged(unit_iter, i) for i, unit_iter in enumerate(units)),
-            key=lambda item: item[0][0],
-        )
-        for record, _unit in merged:
-            yield record
+    segments = []
+    if workers > 1 and _shared_memory is not None:
+        try:
+            for _ in range(workers):
+                segments.append(
+                    _shared_memory.SharedMemory(
+                        create=True, size=RING_SLOTS * SLOT_SIZE
+                    )
+                )
+        except (OSError, ValueError):
+            for segment in segments:
+                segment.close()
+                segment.unlink()
+            segments = []
+    if not segments:
+        # one worker, or no usable shared memory: generate in-process
+        yield from merge_units(units, range(len(units)))
         return
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context(
         "fork" if "fork" in methods else methods[0]
     )
-    segments = []
-    try:
-        segments = [
-            _shared_memory.SharedMemory(create=True, size=RING_SLOTS * SLOT_SIZE)
-            for _ in range(workers)
-        ]
-    except (OSError, ValueError):
-        for segment in segments:
-            segment.close()
-            segment.unlink()
-        # no usable shared memory: fall back to in-process generation
-        merged = heapq.merge(
-            *(_tagged(unit_iter, i) for i, unit_iter in enumerate(units)),
-            key=lambda item: item[0][0],
-        )
-        for record, _unit in merged:
-            yield record
-        return
+    assignment = assign_units(scenario.unit_costs(), workers)
     desc_queues = [ctx.Queue(maxsize=RING_SLOTS + 2) for _ in range(workers)]
     ack_queues = [ctx.Queue() for _ in range(workers)]
     processes = [
@@ -294,7 +310,7 @@ def generate_records(scenario, workers: int) -> Iterator[tuple]:
             args=(
                 index,
                 scenario.config,
-                list(range(index, len(units), workers)),
+                assignment[index],
                 segments[index].name,
                 SLOT_SIZE,
                 RING_SLOTS,

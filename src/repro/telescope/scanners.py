@@ -175,6 +175,18 @@ class ResearchScannerModel:
         """Multiply sampled packet counts by this for full-scale numbers."""
         return 1.0 / self.sample
 
+    def probe_count(self, start: float, end: float) -> float:
+        """About how many probes :meth:`records` emits in [start, end),
+        computed from the sweep schedule alone (no RNG draws)."""
+        probes_per_sweep = max(1, int(self.internet.telescope_net.size * self.sample))
+        count = 0.0
+        sweep_start = start + self.phase
+        while sweep_start < end:
+            covered = min(1.0, (end - sweep_start) / self.sweep_duration)
+            count += probes_per_sweep * covered
+            sweep_start += self.sweep_interval
+        return count
+
     def packets(self, start: float, end: float) -> Iterator[CapturedPacket]:
         """Probe packets within [start, end), in time order."""
         telescope = self.internet.telescope_net

@@ -10,6 +10,7 @@ pipeline shape as the UCSD telescope feeding the paper's toolchain.
 from __future__ import annotations
 
 import heapq
+import operator
 import time
 from typing import Iterable, Iterator
 
@@ -146,3 +147,28 @@ class Telescope:
 def merge_streams(*streams: Iterable[CapturedPacket]) -> Iterator[CapturedPacket]:
     """Merge per-source time-sorted packet streams into one tap feed."""
     return heapq.merge(*streams, key=lambda p: p.timestamp)
+
+
+def _tagged(unit_iter, unit: int):
+    for record in unit_iter:
+        yield record, unit
+
+
+def merge_units(units: list, unit_indices, tagged: bool = False) -> Iterator:
+    """The records of ``units[i]`` for each ``i`` in ``unit_indices``,
+    merged by timestamp.
+
+    ``heapq.merge`` is stable, so timestamp ties fall to the earlier
+    iterator; with ``unit_indices`` ascending that is the lower unit
+    index, exactly as in the serial merge over all units.  ``tagged``
+    yields ``(record, unit index)`` pairs for a later cross-worker
+    merge instead of bare records.
+    """
+    if tagged:
+        return heapq.merge(
+            *(_tagged(units[unit], unit) for unit in unit_indices),
+            key=lambda item: item[0][0],
+        )
+    return heapq.merge(
+        *(units[unit] for unit in unit_indices), key=operator.itemgetter(0)
+    )

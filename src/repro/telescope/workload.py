@@ -12,8 +12,6 @@ statistics (durations, rates, session sizes) are at paper scale, event
 
 from __future__ import annotations
 
-import heapq
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -26,6 +24,9 @@ from repro.util.timeutil import APRIL_1_2021, DAY
 from repro.internet.topology import InternetModel, TopologyConfig
 from repro.telescope.adversarial import AdversarialSpec, build_adversarial_model
 from repro.telescope.attacks import (
+    ICMP,
+    QUIC,
+    TCP,
     AttackPlan,
     AttackPlanConfig,
     AttackPlanner,
@@ -33,7 +34,49 @@ from repro.telescope.attacks import (
 )
 from repro.telescope.noise import MisconfigurationModel, StrayUdpModel
 from repro.telescope.scanners import BotScannerModel, ResearchScannerModel, TcpScannerModel
-from repro.telescope.telescope import Telescope, merge_streams
+from repro.telescope.telescope import Telescope, merge_streams, merge_units
+
+
+#: Estimated CPU seconds per unit of generation work — generate,
+#: merge, capture and analyze — fitted to per-unit timings of 24 h
+#: default-scenario runs (seeds 20210401 and 7) on a 2-vCPU Xeon VM and
+#: checked against per-kind totals.  Only their ratios matter: they
+#: steer the longest-processing-time-first assignment of generation
+#: units to shard workers.  QUIC work is dear
+#: because every response train seals fresh Initials, and each
+#: misconfiguration session builds a new responder connection; the
+#: cheap kinds are dominated by the per-record merge and analysis.
+_COST_RESEARCH_PROBE = 4.8e-6
+_COST_BOT_SESSION = 90e-6
+_COST_TCP_SCAN_SESSION = 40e-6
+_COST_MISCONFIG_SESSION = 1.5e-3
+_COST_STRAY_PACKET = 25e-6
+#: per-flood ``(fixed, per expected telescope request)`` seconds, by vector
+_COST_FLOOD = {
+    QUIC: (0.03, 45e-6),
+    TCP: (0.0014, 1.0e-6),
+    ICMP: (0.0015, 0.8e-6),
+}
+#: per-source ``(fixed, per expected event)`` seconds, by adversarial
+#: kind (events as each model's ``expected_events`` counts them:
+#: datagrams, requests, sources or response trains).  Fitted on
+#: the same scale: each registered adversarial preset's spec, and the
+#: same spec at 4x rate (slowloris: 4x sources), added to a 2 h
+#: default scenario (seeds 20210401 and 7), its unit timed in forks
+#: with cold caches and divided by the measured/estimated ratio of the
+#: default units timed alongside (0.64-0.79).  Victim response trains
+#: are dear because each seals fresh Initials; carpet bombing pays for
+#: a responder and spoofed pool per victim.  (A registered preset alone
+#: is one unit; these matter once adversarial sources join other
+#: traffic.)
+_COST_ADVERSARIAL = {
+    "optimistic-ack": (0.01, 3.6e-6),
+    "h3-flood": (0.01, 6.9e-6),
+    "h3-slowloris": (0.006, 0.9e-3),
+    "pulse-wave": (0.05, 58e-6),
+    "carpet-bomb": (0.045, 240e-6),
+    "vn-retry": (0.0045, 5.3e-6),
+}
 
 
 @dataclass
@@ -206,31 +249,61 @@ class Scenario:
         each flood in plan order, misconfig, stray, then each
         adversarial source in spec order — preserves the
         lexicographic tie-break exactly, so ``records()`` (and the
-        sharded ``telescope/parallel.py`` path, which merges by
-        ``(timestamp, unit index)``) reproduces ``packets()`` order bit
-        for bit.
+        unit-sharded paths of ``telescope/parallel.py`` and
+        ``core/parallel.py``, which merge by ``(timestamp, unit
+        index)``) reproduces ``packets()`` order bit for bit.
         """
-        start, end = self.config.start, self.config.end
+        return [records for _cost, records in self._units()]
+
+    def unit_costs(self) -> list:
+        """Estimated CPU seconds per generation unit, in unit order.
+
+        Computed from the configuration and the attack plan alone —
+        nothing is generated — so every process derives the same
+        figures; :func:`repro.telescope.parallel.assign_units` balances
+        unit-sharded workers on them.
+        """
+        return [cost for cost, _records in self._units()]
+
+    def _units(self) -> list:
+        """``(estimated cost, lazy record iterator)`` per generation unit.
+
+        The single source of the unit order for :meth:`record_units`
+        and :meth:`unit_costs`; every iterator is a generator that does
+        no work until first pulled.
+        """
+        cfg = self.config
+        start, end = cfg.start, cfg.end
+        days = cfg.duration / DAY
         units = []
-        if self.config.include_research:
-            units.extend(model.records(start, end) for model in self._research)
-        if self.config.include_bots:
-            units.append(self._bots.records(start, end))
-        if self.config.include_tcp_scans:
-            units.append(self._tcp_scans.records(start, end))
-        if self.config.include_attacks:
-            units.extend(
-                self._attack_traffic.flood_records(flood)
-                for flood in self.plan.all_floods
-            )
-        if self.config.include_misconfig:
-            units.append(self._misconfig.records(start, end))
-        if self.config.include_stray:
-            units.append(self._stray.records(start, end))
-        units.extend(model.records(start, end) for model in self.adversarial)
+        if cfg.include_research:
+            for model in self._research:
+                cost = model.probe_count(start, end) * _COST_RESEARCH_PROBE
+                units.append((cost, model.records(start, end)))
+        if cfg.include_bots:
+            cost = cfg.bot_sessions_per_day * days * _COST_BOT_SESSION
+            units.append((cost, self._bots.records(start, end)))
+        if cfg.include_tcp_scans:
+            cost = cfg.tcp_scan_sessions_per_day * days * _COST_TCP_SCAN_SESSION
+            units.append((cost, self._tcp_scans.records(start, end)))
+        if cfg.include_attacks:
+            for flood in self.plan.all_floods:
+                fixed, per_request = _COST_FLOOD[flood.vector]
+                cost = fixed + per_request * flood.expected_requests
+                units.append((cost, self._attack_traffic.flood_records(flood)))
+        if cfg.include_misconfig:
+            cost = cfg.misconfig_sessions_per_day * days * _COST_MISCONFIG_SESSION
+            units.append((cost, self._misconfig.records(start, end)))
+        if cfg.include_stray:
+            cost = cfg.stray_packets_per_day * days * _COST_STRAY_PACKET
+            units.append((cost, self._stray.records(start, end)))
+        for model in self.adversarial:
+            fixed, per_event = _COST_ADVERSARIAL[model.spec.kind]
+            cost = fixed + per_event * model.expected_events(start, end)
+            units.append((cost, model.records(start, end)))
         return units
 
-    def records(self, workers: int = 1) -> Iterator[tuple]:
+    def records(self, workers: int = 1, units=None) -> Iterator[tuple]:
         """The capture as flat gen records — the generation fast lane.
 
         Same packets as :meth:`packets` (same seeds, same draws, same
@@ -239,26 +312,31 @@ class Scenario:
         units across processes and k-way-merges the results back into
         the identical serial order (see :mod:`repro.telescope.parallel`);
         the telescope filter always runs here in the parent, so
-        counters and metrics match the serial path.
+        counters and metrics match the serial path.  ``units`` (ascending
+        indices into :meth:`record_units`) restricts the capture to
+        those generation units, merged exactly as in the full serial
+        merge — one unit shard of ``report --workers N``.
         """
         if workers > 1:
+            if units is not None:
+                raise ValueError("a unit subset is generated in-process")
             from repro.telescope.parallel import generate_records
 
             return self.telescope.capture_records(generate_records(self, workers))
-        merged = heapq.merge(*self.record_units(), key=operator.itemgetter(0))
-        return self.telescope.capture_records(merged)
+        record_units = self.record_units()
+        if units is None:
+            units = range(len(record_units))
+        return self.telescope.capture_records(merge_units(record_units, units))
 
-    def lane_batches(
-        self, batch_size: int = 512, workers: int = 1
-    ) -> Iterator[list]:
+    def lane_batches(self, batch_size: int = 512, units=None) -> Iterator[list]:
         """Batched 11-field lane records for the analysis batch lane.
 
         The fused generate→analyze feed:
         ``QuicsandPipeline.process_record_batches`` consumes these
         directly, skipping wire serialization *and* dissection-side
-        parsing entirely.
+        parsing entirely.  ``units`` as in :meth:`records`.
         """
-        return batched(lane_records(self.records(workers)), batch_size)
+        return batched(lane_records(self.records(units=units)), batch_size)
 
     def packet_batches(self, batch_size: int = 512) -> Iterator[list]:
         """The capture as time-ordered batches.

@@ -13,7 +13,8 @@ mirroring ``tests/test_lane_equivalence.py`` for the analysis lane:
 - the fused generate→analyze path
   (``process_record_batches(scenario.lane_batches())``) produces a
   :class:`PipelineResult` identical to dissecting the rich packet
-  stream, with and without generation workers.
+  stream, serially and as unit shards (``process(scenario)`` with
+  ``workers=2``: each worker generates and analyzes its own units).
 """
 
 import dataclasses
@@ -114,8 +115,7 @@ def test_fused_record_path_matches_rich_pipeline():
     assert_identical(reference, fused, s_rich, "fused")
 
     s_workers = scenario()
-    pipeline = make_pipeline(s_workers, fast_lane=True)
-    fused_workers = pipeline.process_record_batches(
-        s_workers.lane_batches(pipeline.config.batch_size, workers=2)
+    fused_workers = make_pipeline(s_workers, fast_lane=True, workers=2).process(
+        s_workers
     )
     assert_identical(reference, fused_workers, s_rich, "fused-workers=2")

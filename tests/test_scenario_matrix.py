@@ -10,6 +10,8 @@ for each one:
   ``process_record_batches`` feed, plus sharded ``records(workers=2)``
   against serial records);
 - serial == workers 2–4 (shared-memory ring transport);
+- serial == unit shards at workers 2–4 (``report --workers N``: each
+  worker generates and analyzes its own generation units);
 - batch == streaming-exact ``PipelineResult``s, bit for bit.
 
 Any future scenario registered in the presets module gets this battery
@@ -134,6 +136,18 @@ def test_serial_vs_workers(case):
             parallel,
             case.scenario,
             f"{case.name}:workers={workers}",
+        )
+
+
+def test_serial_vs_unit_shards(case):
+    for workers in (2, 3, 4):
+        s = Scenario(case.config)
+        sharded = make_pipeline(s, workers=workers).process(s)
+        assert_identical(
+            case.reference,
+            sharded,
+            case.scenario,
+            f"{case.name}:unit-shards={workers}",
         )
 
 
